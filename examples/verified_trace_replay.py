@@ -19,7 +19,7 @@ import itertools
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core import PROTOCOLS, read, write
-from repro.hardware.energy import energy_report, reset_energy_counters
+from repro.hardware.energy import energy_report
 from repro.sim import Engine
 from repro.sim.random import DeterministicRandom
 from repro.trace import record_trace, replay_trace, save_trace, load_trace
@@ -44,7 +44,6 @@ def trace_section(path: str) -> None:
     print(f"\n{'protocol':10s} {'completed in':>14s} {'vs baseline':>12s}")
     baseline_ns = None
     for protocol in ("baseline", "hades-h", "hades"):
-        reset_energy_counters()
         result = replay_trace(protocol, loaded, config=CONFIG)
         assert result.metrics.meter.committed == loaded.transaction_count
         elapsed = result.metrics.elapsed_ns
@@ -54,7 +53,9 @@ def trace_section(path: str) -> None:
               f"{baseline_ns / elapsed:11.2f}x")
         if protocol == "hades":
             report = energy_report(CONFIG, elapsed,
-                                   result.metrics.meter.committed)
+                                   result.metrics.meter.committed,
+                                   read_ops=result.bloom_read_ops,
+                                   write_ops=result.bloom_write_ops)
             print(f"{'':10s} BF energy: {report.read_ops:,} reads + "
                   f"{report.write_ops:,} writes = "
                   f"{report.nj_per_transaction:.2f} nJ per transaction")

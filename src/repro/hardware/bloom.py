@@ -31,6 +31,7 @@ from typing import Iterable, List, Set
 from repro.hardware.crc import hash_family, shared_hash_family
 
 __all__ = [
+    "BLOOM_OPS",
     "BloomFilter",
     "SplitWriteBloomFilter",
     "make_core_read_filter",
@@ -53,6 +54,28 @@ _INDEX_POSITION_CACHES: dict = {}
 _INDEX_CACHE_LIMIT = 1 << 20
 
 
+class BloomOpCounters:
+    """Process-wide BF access totals for the Table III energy model.
+
+    Each ``insert`` is one BF write access, each ``might_contain`` one
+    BF read access (per section for :class:`SplitWriteBloomFilter`).
+    The totals live on this ``__slots__`` instance, never on a class:
+    on CPython every store to a class attribute invalidates that
+    type's attribute and method caches, which would de-specialise
+    every Bloom access on the hot path (see docs/PERFORMANCE.md).
+    """
+
+    __slots__ = ("reads", "writes")
+
+    def __init__(self) -> None:
+        self.reads = 0
+        self.writes = 0
+
+
+#: The one counter object every filter charges.
+BLOOM_OPS = BloomOpCounters()
+
+
 def split_index_stats() -> dict:
     """Occupancy of the WrBF2 position memos, for the isolation audit."""
     return {f"{lb}x{sets}x{bits}": len(cache)
@@ -67,19 +90,17 @@ def clear_split_index_caches() -> None:
 class BloomFilter:
     """A standard Bloom filter over integer keys (cache-line addresses).
 
-    Class-level access totals feed the Table III energy model
-    (:mod:`repro.hardware.energy`): each ``insert`` is one BF write
-    access, each ``might_contain`` one BF read access.
+    Every access is charged to :data:`BLOOM_OPS`, which feeds the
+    Table III energy model (:mod:`repro.hardware.energy`): each
+    ``insert`` is one BF write access, each ``might_contain`` one BF
+    read access.
     """
 
-    #: Global access totals across every filter instance (energy model).
-    total_read_ops = 0
-    total_write_ops = 0
-
-    @classmethod
-    def reset_stats(cls) -> None:
-        cls.total_read_ops = 0
-        cls.total_write_ops = 0
+    @staticmethod
+    def reset_stats() -> None:
+        """Zero the process-wide :data:`BLOOM_OPS` access totals."""
+        BLOOM_OPS.reads = 0
+        BLOOM_OPS.writes = 0
 
     def __init__(self, bits: int, hashes: int = 2):
         if bits < 8:
@@ -119,7 +140,7 @@ class BloomFilter:
         self._bitmask |= mask
         self.inserted_count += 1
         self._keys.add(key)
-        BloomFilter.total_write_ops += 1
+        BLOOM_OPS.writes += 1
 
     def insert_all(self, keys: Iterable[int]) -> None:
         for key in keys:
@@ -127,7 +148,7 @@ class BloomFilter:
 
     def might_contain(self, key: int) -> bool:
         """Membership test — may return false positives, never negatives."""
-        BloomFilter.total_read_ops += 1
+        BLOOM_OPS.reads += 1
         mask = self._mask_cache.get(key)
         if mask is None:
             mask = self._family.mask(key)
@@ -223,7 +244,7 @@ class SplitWriteBloomFilter:
         # The WrBF2 index-array update is a BF write access of its own
         # (WrBF1's was counted by crc_section.insert) — the Table III
         # energy model charges both sections.
-        BloomFilter.total_write_ops += 1
+        BLOOM_OPS.writes += 1
         self.inserted_count += 1
         self._keys.add(key)
 
@@ -238,7 +259,7 @@ class SplitWriteBloomFilter:
         one read access per section regardless of the outcome — a WrBF2
         miss does not save WrBF1's (already issued) access.
         """
-        BloomFilter.total_read_ops += 1  # WrBF2 index-array probe
+        BLOOM_OPS.reads += 1  # WrBF2 index-array probe
         positions = self._index_positions
         position = positions.get(key)
         if position is None:
@@ -247,7 +268,7 @@ class SplitWriteBloomFilter:
             position = positions[key] = (
                 (key // self.line_bytes) % self.llc_sets % self.index_bits)
         if not (self._index_bitmask >> position) & 1:
-            BloomFilter.total_read_ops += 1  # parallel WrBF1 probe
+            BLOOM_OPS.reads += 1  # parallel WrBF1 probe
             return False
         return self.crc_section.might_contain(key)
 

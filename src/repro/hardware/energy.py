@@ -2,9 +2,11 @@
 
 Table III gives per-access dynamic energies (12.8 pJ reads,
 12.7/13.1 pJ writes) and per-filter leakage (1.7/1.9 mW).  The filters
-count their accesses globally
-(:attr:`~repro.hardware.bloom.BloomFilter.total_read_ops`); this module
-turns a run's counts + duration into an energy estimate:
+count their accesses process-wide in
+:data:`~repro.hardware.bloom.BLOOM_OPS` (``reads``/``writes``), and
+every :class:`~repro.runner.ExperimentResult` carries its run's share as
+``bloom_read_ops``/``bloom_write_ops``; this module turns a run's
+counts + duration into an energy estimate:
 
 * dynamic energy = accesses × per-access pJ,
 * leakage energy = (#filter pairs provisioned) × mW × simulated time.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import BloomParams, ClusterConfig
-from repro.hardware.bloom import BloomFilter
+from repro.hardware.bloom import BLOOM_OPS, BloomFilter
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,17 @@ def energy_report(config: ClusterConfig, elapsed_ns: float,
     every :class:`~repro.runner.ExperimentResult` now carries as
     ``bloom_read_ops``/``bloom_write_ops`` — so back-to-back runs in
     one process each report their own accesses.  When omitted, the
-    process-global counters are used (the legacy behavior), which is
-    only correct if :func:`reset_energy_counters` ran right before the
-    measured run.
+    process-global :data:`~repro.hardware.bloom.BLOOM_OPS` totals are
+    used, which is only correct if :func:`reset_energy_counters` ran
+    right before the measured run.
     """
     if elapsed_ns < 0:
         raise ValueError(f"negative elapsed time: {elapsed_ns}")
     if committed < 0:
         raise ValueError(f"negative commit count: {committed}")
     bloom = bloom if bloom is not None else config.bloom
-    reads = BloomFilter.total_read_ops if read_ops is None else read_ops
-    writes = BloomFilter.total_write_ops if write_ops is None else write_ops
+    reads = BLOOM_OPS.reads if read_ops is None else read_ops
+    writes = BLOOM_OPS.writes if write_ops is None else write_ops
     dynamic = reads * bloom.read_energy_pj + writes * bloom.write_energy_pj
     # 1 mW = 1e-3 J/s = 1e9 pJ / 1e9 ns = 1 pJ/ns.
     pairs = provisioned_filter_pairs(config)

@@ -10,9 +10,11 @@ the contract each entry must honor:
   is a pure function of ``(hash count, modulus, key)``, so warmth can
   change wall-clock time only, never a simulated result.  **Safe to
   share; kept warm across runs.**
-* ``repro.hardware.bloom`` — :class:`~repro.hardware.bloom.BloomFilter`'s
-  class-level ``total_read_ops``/``total_write_ops`` energy counters.
-  These accumulate forever, so any consumer reading the raw totals sees
+* ``repro.hardware.bloom`` — the module-level
+  :data:`~repro.hardware.bloom.BLOOM_OPS` energy counters
+  (``reads``/``writes``), reset by
+  :meth:`~repro.hardware.bloom.BloomFilter.reset_stats`.  These
+  accumulate forever, so any consumer reading the raw totals sees
   every previous run's accesses.  **Not safe to read raw**:
   :func:`~repro.runner.run_experiment` snapshots them and reports
   per-run deltas (``ExperimentResult.bloom_read_ops``/``bloom_write_ops``),
@@ -49,14 +51,14 @@ from typing import Dict
 def process_state_report() -> Dict[str, object]:
     """Sizes of every known process-wide cache/counter, for the audit
     tests and for memory diagnostics of long-lived sweep workers."""
-    from repro.hardware.bloom import BloomFilter, split_index_stats
+    from repro.hardware.bloom import BLOOM_OPS, split_index_stats
     from repro.hardware.crc import shared_family_stats
     from repro.sim.random import zipfian_scramble_stats
 
     return {
         "hash_family_masks": shared_family_stats(),
-        "bloom_total_read_ops": BloomFilter.total_read_ops,
-        "bloom_total_write_ops": BloomFilter.total_write_ops,
+        "bloom_total_read_ops": BLOOM_OPS.reads,
+        "bloom_total_write_ops": BLOOM_OPS.writes,
         "split_index_positions": split_index_stats(),
         "zipfian_scramble_keys": zipfian_scramble_stats(),
     }

@@ -140,7 +140,7 @@ def run_experiment(
     replicas.  :attr:`~ExperimentResult.recovery_summary` reports what
     the recovery plane did.
     """
-    from repro.hardware.bloom import BloomFilter
+    from repro.hardware.bloom import BLOOM_OPS
 
     if isinstance(workloads, Workload):
         workloads = [workloads]
@@ -153,8 +153,8 @@ def run_experiment(
     # Snapshot the process-global energy counters so the result can
     # report this run's accesses as deltas (run isolation — the global
     # totals keep growing across back-to-back runs in one process).
-    bloom_reads_before = BloomFilter.total_read_ops
-    bloom_writes_before = BloomFilter.total_write_ops
+    bloom_reads_before = BLOOM_OPS.reads
+    bloom_writes_before = BLOOM_OPS.writes
 
     engine = create_engine()
     cluster = Cluster(engine, config, llc_sets=llc_sets)
@@ -289,9 +289,9 @@ def run_experiment(
                                               if recovery_manager is not None
                                               else None),
                             events_processed=engine.events_processed,
-                            bloom_read_ops=(BloomFilter.total_read_ops
+                            bloom_read_ops=(BLOOM_OPS.reads
                                             - bloom_reads_before),
-                            bloom_write_ops=(BloomFilter.total_write_ops
+                            bloom_write_ops=(BLOOM_OPS.writes
                                              - bloom_writes_before))
 
 

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.api import Request
+from repro.hardware.bloom import BLOOM_OPS
 from repro.runner import ExperimentResult, build_protocol
 from repro.sim.engine import create_engine
 from repro.sim.random import DeterministicRandom
@@ -99,7 +100,9 @@ def replay_trace(protocol_name: str, trace: Trace,
     Unlike the time-bounded runner, a replay runs every traced
     transaction to commit — the comparison across protocols is then
     time-to-complete for identical work (the paper's fixed-instruction
-    methodology), surfaced as ``metrics.elapsed_ns``.
+    methodology), surfaced as ``metrics.elapsed_ns``.  Like
+    :func:`~repro.runner.run_experiment`, the result carries this
+    replay's own Bloom accesses as ``bloom_read_ops``/``bloom_write_ops``.
     """
     config = config if config is not None else ClusterConfig(
         nodes=trace.config["nodes"],
@@ -107,6 +110,8 @@ def replay_trace(protocol_name: str, trace: Trace,
         multiplexing=trace.config["multiplexing"])
     if config.nodes != trace.config["nodes"]:
         raise ValueError("cluster shape differs from the traced one")
+    bloom_reads_before = BLOOM_OPS.reads
+    bloom_writes_before = BLOOM_OPS.writes
     engine = create_engine()
     cluster = Cluster(engine, config, llc_sets=1024)
     metrics = RunMetrics()
@@ -125,7 +130,11 @@ def replay_trace(protocol_name: str, trace: Trace,
     metrics.elapsed_ns = engine.now
     return ExperimentResult(protocol=protocol_name,
                             workload=trace.workload_name,
-                            config=config, metrics=metrics)
+                            config=config, metrics=metrics,
+                            bloom_read_ops=(BLOOM_OPS.reads
+                                            - bloom_reads_before),
+                            bloom_write_ops=(BLOOM_OPS.writes
+                                             - bloom_writes_before))
 
 
 # -- persistence ------------------------------------------------------------

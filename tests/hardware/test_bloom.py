@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import BloomParams
 from repro.hardware.bloom import (
+    BLOOM_OPS,
     BloomFilter,
     SplitWriteBloomFilter,
     make_core_read_filter,
@@ -132,9 +133,9 @@ def test_split_filter_insert_counts_both_sections():
     BloomFilter.reset_stats()
     bf = SplitWriteBloomFilter(llc_sets=4096)
     bf.insert(64)
-    assert BloomFilter.total_write_ops == 2  # WrBF1 + WrBF2
+    assert BLOOM_OPS.writes == 2  # WrBF1 + WrBF2
     bf.insert_all([128, 192])
-    assert BloomFilter.total_write_ops == 6
+    assert BLOOM_OPS.writes == 6
     BloomFilter.reset_stats()
 
 
@@ -145,9 +146,9 @@ def test_split_filter_probe_counts_both_sections_even_on_miss():
     bf.insert(0)
     BloomFilter.reset_stats()
     assert bf.might_contain(0)  # WrBF2 hit, then WrBF1 confirms
-    assert BloomFilter.total_read_ops == 2
+    assert BLOOM_OPS.reads == 2
     assert not bf.might_contain(64)  # WrBF2 miss; WrBF1 already issued
-    assert BloomFilter.total_read_ops == 4
+    assert BLOOM_OPS.reads == 4
     BloomFilter.reset_stats()
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ClusterConfig
-from repro.hardware.bloom import BloomFilter
+from repro.hardware.bloom import BLOOM_OPS, BloomFilter
 from repro.hardware.energy import (
     energy_report,
     provisioned_filter_pairs,
@@ -24,14 +24,14 @@ def test_filters_count_accesses_globally():
     bf.insert(1)
     other.insert(2)
     bf.might_contain(1)
-    assert BloomFilter.total_write_ops == 2
-    assert BloomFilter.total_read_ops == 1
+    assert BLOOM_OPS.writes == 2
+    assert BLOOM_OPS.reads == 1
 
 
 def test_reset_clears_counters():
     BloomFilter(1024).insert(1)
     reset_energy_counters()
-    assert BloomFilter.total_write_ops == 0
+    assert BLOOM_OPS.writes == 0
 
 
 def test_dynamic_energy_uses_table_iii_values():

@@ -112,6 +112,17 @@ class TestReplay:
         second = replay_trace("hades", trace, config=SMALL)
         assert first.metrics.elapsed_ns == second.metrics.elapsed_ns
 
+    def test_replay_reports_its_own_bloom_ops(self):
+        """Each replay reports its own Bloom accesses, whatever ran
+        before it in the process (the energy report consumes these)."""
+        trace = small_trace()
+        first = replay_trace("hades", trace, config=SMALL)
+        second = replay_trace("hades", trace, config=SMALL)
+        assert first.bloom_read_ops > 0
+        assert first.bloom_write_ops > 0
+        assert second.bloom_read_ops == first.bloom_read_ops
+        assert second.bloom_write_ops == first.bloom_write_ops
+
     def test_shape_mismatch_rejected(self):
         trace = small_trace()
         with pytest.raises(ValueError):
