@@ -61,6 +61,21 @@ class Cluster:
         self._records[record_id] = descriptor
         return descriptor
 
+    def allocate_records(self, first_id: int, count: int,
+                         data_bytes: int) -> None:
+        """Place ``count`` records of ``data_bytes`` each, ids
+        ``first_id`` upwards: the same placement as that many
+        :meth:`allocate_record` calls, in id order."""
+        records = self._records
+        memories = [node.memory for node in self.nodes]
+        nodes = self.config.nodes
+        for record_id in range(first_id, first_id + count):
+            if record_id in records:
+                raise ValueError(f"record {record_id} already allocated")
+            records[record_id] = memories[
+                splitmix64(record_id) % nodes].allocate_record(
+                    record_id, data_bytes)
+
     def record(self, record_id: int) -> RecordDescriptor:
         descriptor = self._records.get(record_id)
         if descriptor is None:

@@ -7,16 +7,16 @@ address, data size) — shared by every protocol.
 version, lock, incarnation, and one version per cache line to support
 OCC read-atomicity checks.  HADES needs none of this — "there are no
 versions" (Table I) — which is precisely the storage/overhead saving
-the paper claims; the metadata object is only instantiated for
-Baseline and for HADES-H's software-managed local records.
+the paper claims.  :class:`~repro.cluster.memory.NodeMemory` builds a
+record's metadata object only the first time a protocol asks for its
+lock or versions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.cluster.address import lines_covering, node_of_address
+from repro.cluster.address import LINE_BYTES, lines_covering, node_of_address
 
 #: Bytes of Fig. 1 metadata that precede the data: version (8) +
 #: lock (8) + incarnation (8).
@@ -25,17 +25,36 @@ RECORD_HEADER_BYTES = 24
 PER_LINE_VERSION_BYTES = 8
 
 
-@dataclass(frozen=True)
 class RecordDescriptor:
-    """Location and shape of one record."""
+    """Location and shape of one record (immutable by convention)."""
 
-    record_id: int
-    address: int
-    data_bytes: int
+    __slots__ = ("record_id", "address", "data_bytes", "line_count")
 
-    def __post_init__(self) -> None:
-        if self.data_bytes <= 0:
-            raise ValueError(f"record data size must be positive: {self.data_bytes}")
+    def __init__(self, record_id: int, address: int, data_bytes: int):
+        if data_bytes <= 0:
+            raise ValueError(f"record data size must be positive: {data_bytes}")
+        self.record_id = record_id
+        self.address = address
+        self.data_bytes = data_bytes
+        #: Cache lines covered by the data: ``len(self.lines)``, computed
+        #: without building the list.
+        self.line_count = ((address + data_bytes - 1) // LINE_BYTES
+                           - address // LINE_BYTES + 1)
+
+    def _key(self) -> Tuple[int, int, int]:
+        return (self.record_id, self.address, self.data_bytes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RecordDescriptor(record_id={self.record_id}, "
+                f"address={self.address}, data_bytes={self.data_bytes})")
 
     @property
     def home_node(self) -> int:
@@ -45,10 +64,6 @@ class RecordDescriptor:
     def lines(self) -> List[int]:
         """Cache lines covered by the record's data."""
         return lines_covering(self.address, self.data_bytes)
-
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
 
     def augmented_bytes(self) -> int:
         """Wire/storage size including Fig. 1 metadata (Baseline only)."""
@@ -104,8 +119,7 @@ class RecordMetadata:
         versions.  ``complete_write`` closes the window.
         """
         self.applying = True
-        for index in range(len(self.line_versions)):
-            self.line_versions[index] = self.version + 1 if index == 0 else self.line_versions[index]
+        self.line_versions[0] = self.version + 1
 
     def complete_write(self) -> None:
         """Atomically-visible completion: bump record and line versions."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import BloomParams, ClusterConfig
-from repro.hardware.bloom import BLOOM_OPS, BloomFilter
 
 
 @dataclass(frozen=True)
@@ -63,37 +62,26 @@ def provisioned_filter_pairs(config: ClusterConfig) -> int:
     return per_node * config.nodes
 
 
-def reset_energy_counters() -> None:
-    """Zero the global BF access counters (call before a measured run)."""
-    BloomFilter.reset_stats()
-
-
 def energy_report(config: ClusterConfig, elapsed_ns: float,
-                  committed: int,
-                  bloom: BloomParams = None,
-                  read_ops: int = None,
-                  write_ops: int = None) -> EnergyReport:
+                  committed: int, *, read_ops: int, write_ops: int,
+                  bloom: BloomParams = None) -> EnergyReport:
     """Energy estimate for one run.
 
-    Pass ``read_ops``/``write_ops`` explicitly — the per-run deltas
-    every :class:`~repro.runner.ExperimentResult` now carries as
-    ``bloom_read_ops``/``bloom_write_ops`` — so back-to-back runs in
-    one process each report their own accesses.  When omitted, the
-    process-global :data:`~repro.hardware.bloom.BLOOM_OPS` totals are
-    used, which is only correct if :func:`reset_energy_counters` ran
-    right before the measured run.
+    ``read_ops``/``write_ops`` are the run's own Bloom accesses — the
+    per-run deltas every :class:`~repro.runner.ExperimentResult` carries
+    as ``bloom_read_ops``/``bloom_write_ops`` — so back-to-back runs in
+    one process each report their own accesses.
     """
     if elapsed_ns < 0:
         raise ValueError(f"negative elapsed time: {elapsed_ns}")
     if committed < 0:
         raise ValueError(f"negative commit count: {committed}")
     bloom = bloom if bloom is not None else config.bloom
-    reads = BLOOM_OPS.reads if read_ops is None else read_ops
-    writes = BLOOM_OPS.writes if write_ops is None else write_ops
-    dynamic = reads * bloom.read_energy_pj + writes * bloom.write_energy_pj
+    dynamic = (read_ops * bloom.read_energy_pj
+               + write_ops * bloom.write_energy_pj)
     # 1 mW = 1e-3 J/s = 1e9 pJ / 1e9 ns = 1 pJ/ns.
     pairs = provisioned_filter_pairs(config)
     leakage = pairs * bloom.leakage_mw * elapsed_ns
-    return EnergyReport(read_ops=reads, write_ops=writes,
+    return EnergyReport(read_ops=read_ops, write_ops=write_ops,
                         dynamic_pj=dynamic, leakage_pj=leakage,
                         committed=committed)

@@ -7,7 +7,7 @@ depth 1 + chain position, which is ~1 at the default load factor.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.hardware.crc import splitmix64
 from repro.kvs.base import KeyValueStore, LookupResult
@@ -48,6 +48,21 @@ class HashTableStore(KeyValueStore):
                 return
         bucket.append((key, record_id))
         self._size += 1
+
+    def bulk_load(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """:meth:`insert` each pair in order, without a method call per
+        key; a repeated key replaces its record id in place."""
+        buckets = self._buckets
+        mask = self.bucket_count - 1
+        for key, record_id in pairs:
+            bucket = buckets[splitmix64(key) & mask]
+            for index, (existing, _record) in enumerate(bucket):
+                if existing == key:
+                    bucket[index] = (key, record_id)
+                    break
+            else:
+                bucket.append((key, record_id))
+                self._size += 1
 
     def lookup(self, key: int) -> Optional[LookupResult]:
         bucket = self._buckets[self._bucket_of(key)]

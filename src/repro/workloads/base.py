@@ -51,9 +51,8 @@ class Workload:
 
     def populate(self, cluster: Cluster) -> None:
         """Allocate this workload's records across the cluster."""
-        for key in range(self.record_count):
-            cluster.allocate_record(self.record_id_base + key,
-                                    self.record_bytes)
+        cluster.allocate_records(self.record_id_base, self.record_count,
+                                 self.record_bytes)
 
     # -- transaction generation --------------------------------------------
 

@@ -78,18 +78,13 @@ class TatpWorkload(Workload):
         return self.record_id_base + 3 * self.subscribers + sid
 
     def populate(self, cluster: Cluster) -> None:
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.subscriber_record(sid),
-                                    SUBSCRIBER_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.access_info_record(sid),
-                                    ACCESS_INFO_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.special_facility_record(sid),
-                                    SPECIAL_FACILITY_BYTES)
-        for sid in range(self.subscribers):
-            cluster.allocate_record(self.call_forwarding_record(sid),
-                                    CALL_FORWARDING_BYTES)
+        """One contiguous id range per table, in key-layout order."""
+        for first_id, data_bytes in (
+                (self.subscriber_record(0), SUBSCRIBER_BYTES),
+                (self.access_info_record(0), ACCESS_INFO_BYTES),
+                (self.special_facility_record(0), SPECIAL_FACILITY_BYTES),
+                (self.call_forwarding_record(0), CALL_FORWARDING_BYTES)):
+            cluster.allocate_records(first_id, self.subscribers, data_bytes)
 
     # -- transactions -----------------------------------------------------
 

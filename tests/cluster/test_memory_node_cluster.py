@@ -1,9 +1,11 @@
 """Tests for node memory, the node aggregate, and cluster assembly."""
 
+import time
+
 import pytest
 
 from repro.cluster import Cluster, NodeMemory
-from repro.cluster.address import node_of_address
+from repro.cluster.address import make_address, node_of_address
 from repro.cluster.node import Node
 from repro.config import ClusterConfig
 from repro.sim import Engine
@@ -44,6 +46,32 @@ class TestNodeMemory:
     def test_metadata_missing_raises(self):
         with pytest.raises(KeyError):
             NodeMemory(0).metadata(12345)
+
+    def test_every_line_of_a_record_resolves_to_its_base(self):
+        memory = NodeMemory(2)
+        descriptors = [memory.allocate_record(record_id, data_bytes)
+                       for record_id, data_bytes
+                       in enumerate((64, 300, 1, 65, 10))]
+        for descriptor in descriptors:
+            assert descriptor.line_count == len(descriptor.lines)
+            for line in descriptor.lines:
+                assert (memory.record_address_of_line(line)
+                        == descriptor.address)
+
+    def test_line_outside_every_record_raises_quickly(self):
+        memory = NodeMemory(1)
+        last = memory.allocate_record(1, 256)  # 4 lines
+        past_end = last.lines[-1] + 1
+        below = make_address(1, 0) // 64
+        # A line far beyond the allocated extent: walking back one line
+        # at a time towards address 0 would take hours.
+        far = make_address(1, 1 << 39) // 64
+        other_node = make_address(2, 64) // 64
+        started = time.perf_counter()
+        for line in (past_end, below, far, other_node):
+            with pytest.raises(KeyError):
+                memory.record_address_of_line(line)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestNode:

@@ -53,6 +53,17 @@ class TestCommonBehavior:
         for key in (0, 57, 199):
             assert store.lookup(key).record_id == key * 10
 
+    def test_bulk_load_matches_inserts_and_replaces_duplicates(self, store):
+        pairs = [(key % 150, key) for key in range(300)]
+        loaded = make_store(store.kind)
+        for key, record_id in pairs:
+            loaded.insert(key, record_id)
+        store.bulk_load(iter(pairs))
+        assert len(store) == len(loaded) == 150
+        for key in range(150):
+            assert store.lookup(key) == loaded.lookup(key)
+            assert store.lookup(key).record_id == key + 150
+
     def test_missing_keys_after_load(self, store):
         store.bulk_load((key, key) for key in range(0, 100, 2))
         assert store.lookup(1) is None
