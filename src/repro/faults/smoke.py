@@ -31,7 +31,7 @@ from repro.core import PROTOCOLS, read, write
 from repro.core.replication import HadesReplicatedProtocol
 from repro.faults.injector import FaultInjector
 from repro.obs.tracer import EventTracer
-from repro.sim.engine import create_engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRandom
 from repro.verify.locks import find_leaks
 from repro.verify.serializability import SerializabilityChecker
@@ -70,7 +70,7 @@ def run_smoke(protocol_name: str, seed: int = 7, clients: int = 6,
               txns_per_client: int = 6, records: int = 5) -> SmokeResult:
     """One finite faulty run, drained to quiescence."""
     plan = FaultPlan.parse(SMOKE_SPEC, seed=seed)
-    engine = create_engine()
+    engine = Engine()
     config = ClusterConfig(nodes=3, cores_per_node=2)
     cluster = Cluster(engine, config, llc_sets=256)
     protocol = _build_protocol(protocol_name, cluster, seed)

@@ -40,7 +40,7 @@ from repro.core.replication import HadesReplicatedProtocol
 from repro.faults.injector import FaultInjector
 from repro.obs.tracer import EventTracer
 from repro.recovery.manager import RecoveryManager
-from repro.sim.engine import create_engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRandom
 from repro.verify.locks import find_leaks
 from repro.verify.serializability import SerializabilityChecker
@@ -82,7 +82,7 @@ def run_recovery_smoke(protocol_name: str, seed: int = 11, clients: int = 6,
     """One finite crash+recovery run, drained to quiescence."""
     plan = FaultPlan.parse(SMOKE_SPEC, seed=seed)
     params = RecoveryParams(enabled=True)
-    engine = create_engine()
+    engine = Engine()
     config = ClusterConfig(nodes=3, cores_per_node=2, recovery=params)
     cluster = Cluster(engine, config, llc_sets=256)
     protocol = _build_protocol(protocol_name, cluster, seed)

@@ -25,7 +25,7 @@ from repro.obs.slo import SLOReport
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.tracer import EventTracer
-from repro.sim.engine import create_engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRandom
 from repro.sim.stats import RunMetrics
 from repro.workloads.base import Workload
@@ -156,7 +156,7 @@ def run_experiment(
     bloom_reads_before = BLOOM_OPS.reads
     bloom_writes_before = BLOOM_OPS.writes
 
-    engine = create_engine()
+    engine = Engine()
     cluster = Cluster(engine, config, llc_sets=llc_sets)
     metrics = RunMetrics(bounded_latency=bounded_latency)
     proto = build_protocol(protocol, cluster, metrics=metrics, seed=seed)

@@ -14,7 +14,7 @@ an :class:`~repro.sim.events.AllOf` combinator.  Processes can be
 interrupted (used to model transaction squashes).
 """
 
-from repro.sim.engine import Engine, HeapEngine, Process, create_engine
+from repro.sim.engine import Engine, Process
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.random import DeterministicRandom, ZipfianGenerator
 from repro.sim.stats import (
@@ -32,8 +32,6 @@ __all__ = [
     "DeterministicRandom",
     "Engine",
     "Event",
-    "HeapEngine",
-    "create_engine",
     "Interrupt",
     "LatencyRecorder",
     "PhaseBreakdown",

@@ -30,7 +30,7 @@ from repro.config import ClusterConfig
 from repro.core.api import Request
 from repro.hardware.bloom import BLOOM_OPS
 from repro.runner import ExperimentResult, build_protocol
-from repro.sim.engine import create_engine
+from repro.sim.engine import Engine
 from repro.sim.random import DeterministicRandom
 from repro.sim.stats import RunMetrics
 from repro.workloads.base import Workload
@@ -68,7 +68,7 @@ def record_trace(workload: Workload, config: Optional[ClusterConfig] = None,
     if transactions_per_client < 1:
         raise ValueError("need at least one transaction per client")
     config = config if config is not None else ClusterConfig()
-    scratch = Cluster(create_engine(), config, llc_sets=64)
+    scratch = Cluster(Engine(), config, llc_sets=64)
     workload.populate(scratch)
     records = [(record_id, descriptor.data_bytes, descriptor.home_node)
                for record_id, descriptor in scratch.iter_records()]
@@ -112,7 +112,7 @@ def replay_trace(protocol_name: str, trace: Trace,
         raise ValueError("cluster shape differs from the traced one")
     bloom_reads_before = BLOOM_OPS.reads
     bloom_writes_before = BLOOM_OPS.writes
-    engine = create_engine()
+    engine = Engine()
     cluster = Cluster(engine, config, llc_sets=1024)
     metrics = RunMetrics()
     protocol = build_protocol(protocol_name, cluster, metrics=metrics,

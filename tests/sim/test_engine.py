@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, Engine, HeapEngine, Interrupt, create_engine
+from repro.sim import AllOf, Engine, Interrupt
+from tests.sim.heap_oracle import HeapOracle
 
-#: Both engines must satisfy every dispatch-contract test below.
-ENGINES = [Engine, HeapEngine]
+#: The engine and the reference heap must both satisfy the lifecycle
+#: regressions below; the property tests compare the two directly.
+ENGINES = [Engine, HeapOracle]
 
 
 def test_clock_starts_at_zero():
@@ -485,22 +487,135 @@ def test_negative_sleep_error_routes_to_waiter(engine_cls):
     assert engine._active == 0
 
 
-def test_create_engine_honors_env_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert type(create_engine()) is Engine
-    monkeypatch.setenv("REPRO_ENGINE", "heap")
-    assert type(create_engine()) is HeapEngine
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert type(create_engine()) is HeapEngine
-    monkeypatch.setenv("REPRO_ENGINE", "wheel")
-    assert type(create_engine()) is Engine
+def test_cancel_storm_compacts_now_fifo():
+    """Zero-delay entries are cancelled as eagerly as timers (squash
+    storms abandon posted resumes); compaction must reach the now-FIFO
+    too, not just the heap."""
+    engine = Engine()
+    for _ in range(10):
+        entries = [engine.post(lambda: None) for _ in range(50)]
+        for entry in entries:
+            engine.cancel(entry)
+        assert len(engine._now) <= 150
+    engine.run()
+    assert engine.events_processed == 0
+    assert engine._cancelled == 0
 
 
-# -- wheel/batch engine vs. reference heap equivalence -----------------
+# -- interrupts against the two-hop sleep -------------------------------
 
-#: Delays chosen to straddle the wheel's interesting boundaries: zero,
-#: within one slot (64 ns), exactly on slot edges, several slots out,
-#: just past the wheel horizon (1024 slots = 65,536 ns), and far beyond.
+
+def _victim(engine, log, event):
+    """Sleeps 100 ns, then waits on ``event``; an interrupt anywhere
+    makes it sleep 300 ns instead."""
+    def victim():
+        try:
+            yield 100.0
+            log.append(("woke", engine.now))
+            yield event
+            log.append(("event", engine.now))
+        except Interrupt:
+            log.append(("interrupted", engine.now))
+            yield 300.0
+            log.append(("slept", engine.now))
+    return engine.process(victim(), name="victim")
+
+
+def _interrupt_victim(engine_cls, when):
+    """Interrupt the victim at one of three points of its first sleep;
+    return the victim's log, the event count and the final clock."""
+    engine = engine_cls()
+    log = []
+    event = engine.event()
+    victim = _victim(engine, log, event)
+    if when == "before_hop":
+        # Scheduled before the victim arms its sleep, so this entry's
+        # sequence number is lower than the deadline hop's.
+        engine.schedule(100.0, victim.interrupt)
+    elif when == "between_hops":
+        # Scheduled after the sleep is armed: runs after the deadline
+        # hop has appended the wake, before the wake runs.
+        engine.schedule(0.0, engine.schedule, 100.0, victim.interrupt)
+    else:
+        # A second 100 ns sleeper armed after the victim's sleep: its
+        # wake runs right after the victim's, at the same timestamp.
+        def late():
+            yield 100.0
+            victim.interrupt()
+        engine.process(late())
+    engine.schedule(1000.0, event.succeed, "late")
+    final = engine.run()
+    assert engine._cancelled == 0
+    return log, engine.events_processed, final
+
+
+@pytest.mark.parametrize("when, expected", [
+    ("before_hop", [("interrupted", 100.0), ("slept", 400.0)]),
+    ("between_hops", [("interrupted", 100.0), ("slept", 400.0)]),
+    ("after_wake", [("woke", 100.0), ("interrupted", 100.0),
+                    ("slept", 400.0)]),
+])
+def test_interrupt_around_sleep_hops(when, expected):
+    """Wherever the interrupt lands relative to the deadline hop and the
+    wake, it is delivered once, no stale wake or event resumes the
+    process after it, and no cancelled husk is left behind; the
+    reference heap agrees."""
+    result = _interrupt_victim(Engine, when)
+    assert result[0] == expected
+    assert result == _interrupt_victim(HeapOracle, when)
+
+
+def test_interrupt_before_start_disarms_first_sleep():
+    """Regression: an interrupt sent before the process's start resume
+    ran was thrown at the process's first sleep with that sleep still
+    armed, so the handler's 300 ns sleep was cut short at 100 ns."""
+    engine = Engine()
+    log = []
+
+    def victim():
+        try:
+            yield 100.0
+            log.append(("woke", engine.now))
+        except Interrupt:
+            yield 300.0
+            log.append(("slept", engine.now))
+
+    engine.process(victim()).interrupt()
+    engine.run()
+    assert log == [("slept", 300.0)]
+    assert engine.now == 300.0
+    assert engine._cancelled == 0
+
+
+def test_interrupt_during_yield_none_disarms_next_sleep():
+    """The same race through a ``yield None``: the interrupt arrives
+    while the zero-time resume is pending and must not leave the sleep
+    armed at the next yield live."""
+    engine = Engine()
+    log = []
+
+    def victim():
+        yield None
+        try:
+            yield 100.0
+            log.append(("woke", engine.now))
+        except Interrupt:
+            yield 300.0
+            log.append(("slept", engine.now))
+
+    process = engine.process(victim())
+    # Runs after the start resume posts the ``yield None`` resume and
+    # before that resume runs.
+    engine.post(process.interrupt)
+    engine.run()
+    assert log == [("slept", 300.0)]
+    assert engine._cancelled == 0
+
+
+# -- production engine vs. reference heap --------------------------------
+
+#: Delays covering zero, sub-nanosecond-apart and coinciding deadlines,
+#: and far-future timers.
 _DELAYS = st.sampled_from([0.0, 1.0, 3.5, 63.0, 64.0, 65.0, 128.0,
                            1000.0, 65_535.0, 65_600.0, 1e9])
 
@@ -509,9 +624,11 @@ _OPS = st.one_of(
     st.tuples(st.just("storm"), _DELAYS, st.integers(2, 5)),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     st.tuples(st.just("late_cancel"), _DELAYS, st.integers(0, 40)),
-    st.tuples(st.just("process"), st.lists(_DELAYS, min_size=1,
-                                           max_size=4)),
+    st.tuples(st.just("process"),
+              st.lists(st.one_of(_DELAYS, st.none()), min_size=1,
+                       max_size=4)),
     st.tuples(st.just("interrupt"), st.integers(0, 10), _DELAYS),
+    st.tuples(st.just("interrupt_now"), st.integers(0, 10)),
 )
 
 
@@ -556,16 +673,21 @@ def _run_script(engine_cls, ops):
             if processes:
                 target = processes[op[1] % len(processes)]
                 engine.schedule(op[2], target.interrupt)
+        elif kind == "interrupt_now":
+            if processes:
+                processes[op[1] % len(processes)].interrupt()
     final = engine.run()
+    assert engine._cancelled == 0
     return log, engine.events_processed, final
 
 
 @given(st.lists(_OPS, min_size=1, max_size=40))
 @settings(max_examples=120, deadline=None)
-def test_wheel_engine_matches_reference_heap(ops):
-    """The wheel+batch engine and the reference heap must produce the
-    identical dispatch order, event count, and final clock for any mix
-    of schedules, same-timestamp storms, cancels (including cancels
-    issued mid-run and cancels of already-fired entries), processes,
-    and interrupts."""
-    assert _run_script(Engine, ops) == _run_script(HeapEngine, ops)
+def test_engine_matches_reference_heap(ops):
+    """The heap + now-FIFO engine, whose sleep wakes take no sequence
+    number, and the pure-heap reference must produce the identical
+    dispatch order, event count, and final clock for any mix of
+    schedules, same-timestamp storms, cancels (including cancels issued
+    mid-run and cancels of already-fired entries), processes, sleeps,
+    zero-time yields and interrupts."""
+    assert _run_script(Engine, ops) == _run_script(HeapOracle, ops)

@@ -1,18 +1,19 @@
-"""Full-run equivalence of the wheel engine vs. the reference heap.
+"""Full-run equivalence of the engine vs. the reference pure heap.
 
-The property test in ``tests/sim/test_engine.py`` covers the dispatch
-contract on synthetic schedules; this module pins the contract end to
-end: a complete traced experiment — protocol, fabric, workload tapes,
+The property tests in ``tests/sim/test_engine.py`` cover the dispatch
+contract on synthetic schedules; this module pins it end to end: a
+complete traced experiment — protocol, fabric, workload tapes,
 telemetry and all — must produce a byte-identical trace artifact (the
-same file ``repro run --trace out.jsonl`` writes) under both engines,
-selected exactly the way users select them: the ``REPRO_ENGINE``
-environment knob read by :func:`repro.sim.create_engine`.
+same file ``repro run --trace out.jsonl`` writes) under the production
+engine and under ``tests/sim/heap_oracle.HeapOracle``, whose sleep wakes
+take a fresh sequence number at their deadline.
 """
 
 from repro.config import ClusterConfig
 from repro.obs import EventTracer
 from repro.runner import run_experiment
 from repro.workloads import YcsbWorkload
+from tests.sim.heap_oracle import HeapOracle
 
 
 def _traced_run(tmp_path, tag):
@@ -37,10 +38,9 @@ def _traced_run(tmp_path, tag):
 
 
 def test_trace_artifact_identical_across_engines(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    wheel_bytes, wheel_summary = _traced_run(tmp_path, "wheel")
-    monkeypatch.setenv("REPRO_ENGINE", "heap")
+    engine_bytes, engine_summary = _traced_run(tmp_path, "engine")
+    monkeypatch.setattr("repro.runner.Engine", HeapOracle)
     heap_bytes, heap_summary = _traced_run(tmp_path, "heap")
-    assert wheel_summary == heap_summary
-    assert wheel_bytes == heap_bytes
-    assert len(wheel_bytes) > 1000  # a real trace, not an empty header
+    assert engine_summary == heap_summary
+    assert engine_bytes == heap_bytes
+    assert len(engine_bytes) > 1000  # a real trace, not an empty header
