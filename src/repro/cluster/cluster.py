@@ -33,7 +33,11 @@ class Cluster:
         # default the cluster owns a fault-free one.
         self.fabric = fabric if fabric is not None else Fabric(
             engine, config.network)
-        self._records: Dict[int, RecordDescriptor] = {}
+        #: The record table: plain int dicts, which the cyclic collector
+        #: never tracks.  Descriptors are built on first :meth:`record`.
+        self._addresses: Dict[int, int] = {}
+        self._sizes: Dict[int, int] = {}
+        self._descriptors: Dict[int, RecordDescriptor] = {}
         self._next_txid = 0
 
     def node(self, node_id: int) -> Node:
@@ -53,37 +57,42 @@ class Cluster:
     def allocate_record(self, record_id: int, data_bytes: int,
                         home: Optional[int] = None) -> RecordDescriptor:
         """Place a record on its home node (hash placement by default)."""
-        if record_id in self._records:
+        if record_id in self._addresses:
             raise ValueError(f"record {record_id} already allocated")
         node_id = self.home_of(record_id) if home is None else home
-        descriptor = self.nodes[node_id].memory.allocate_record(
-            record_id, data_bytes)
-        self._records[record_id] = descriptor
-        return descriptor
+        self._addresses[record_id] = self.nodes[node_id].memory.allocate(
+            data_bytes)
+        self._sizes[record_id] = data_bytes
+        return self.record(record_id)
 
     def allocate_records(self, first_id: int, count: int,
                          data_bytes: int) -> None:
         """Place ``count`` records of ``data_bytes`` each, ids
         ``first_id`` upwards: the same placement as that many
         :meth:`allocate_record` calls, in id order."""
-        records = self._records
-        memories = [node.memory for node in self.nodes]
+        addresses = self._addresses
+        sizes = self._sizes
+        allocators = [node.memory.allocate for node in self.nodes]
         nodes = self.config.nodes
         for record_id in range(first_id, first_id + count):
-            if record_id in records:
+            if record_id in addresses:
                 raise ValueError(f"record {record_id} already allocated")
-            records[record_id] = memories[
-                splitmix64(record_id) % nodes].allocate_record(
-                    record_id, data_bytes)
+            addresses[record_id] = allocators[
+                splitmix64(record_id) % nodes](data_bytes)
+            sizes[record_id] = data_bytes
 
     def record(self, record_id: int) -> RecordDescriptor:
-        descriptor = self._records.get(record_id)
+        descriptor = self._descriptors.get(record_id)
         if descriptor is None:
-            raise KeyError(f"record {record_id} was never allocated")
+            address = self._addresses.get(record_id)
+            if address is None:
+                raise KeyError(f"record {record_id} was never allocated")
+            descriptor = self._descriptors[record_id] = RecordDescriptor(
+                record_id, address, self._sizes[record_id])
         return descriptor
 
     def has_record(self, record_id: int) -> bool:
-        return record_id in self._records
+        return record_id in self._addresses
 
     def iter_records(self) -> Iterator[Tuple[int, RecordDescriptor]]:
         """All allocated records as (record_id, descriptor), sorted by id.
@@ -91,9 +100,9 @@ class Cluster:
         The public way to walk the record table (trace capture, audits)
         without reaching into the private mapping.
         """
-        for record_id in sorted(self._records):
-            yield record_id, self._records[record_id]
+        for record_id in sorted(self._addresses):
+            yield record_id, self.record(record_id)
 
     @property
     def record_count(self) -> int:
-        return len(self._records)
+        return len(self._addresses)

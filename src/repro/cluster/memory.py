@@ -61,14 +61,20 @@ class NodeMemory:
     def allocate_record(self, record_id: int,
                         data_bytes: int) -> RecordDescriptor:
         """Allocate a line-aligned record in this node's memory."""
+        return RecordDescriptor(record_id, self.allocate(data_bytes),
+                                data_bytes)
+
+    def allocate(self, data_bytes: int) -> int:
+        """Reserve line-aligned space for a record; returns its address."""
+        if data_bytes <= 0:
+            raise ValueError(f"record data size must be positive: {data_bytes}")
         address = make_address(self.node_id, self._next_offset)
-        descriptor = RecordDescriptor(record_id, address, data_bytes)
-        line_count = descriptor.line_count
+        line_count = (data_bytes + LINE_BYTES - 1) // LINE_BYTES
         self._next_offset += line_count * LINE_BYTES
         self._line_counts[address] = line_count
         if line_count > self._max_record_lines:
             self._max_record_lines = line_count
-        return descriptor
+        return address
 
     def iter_metadata(self):
         """(address, metadata) pairs of every record whose metadata has

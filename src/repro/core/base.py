@@ -269,6 +269,17 @@ class ProtocolBase:
             return _InteractiveStream(spec())
         return _ListStream(spec)
 
+    def close(self) -> None:
+        """End of run: drop the fabric hooks, attempt registries and
+        reply timers that tie protocol, cluster and processes together."""
+        fabric = self.cluster.fabric
+        fabric._handlers.clear()
+        fabric.recovery = self.recovery = None
+        self._active.clear()
+        self._executing.clear()
+        self.replies.on_timeout = None
+        self.replies._timers.clear()
+
     # ------------------------------------------------------------------
     # hooks for subclasses
     # ------------------------------------------------------------------

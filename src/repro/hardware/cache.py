@@ -17,7 +17,6 @@ Two models from Fig. 5:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
@@ -77,10 +76,11 @@ class LlcModel:
         self.sets = sets
         self.ways = ways
         self.line_bytes = line_bytes
-        # Per set: OrderedDict line -> owner txid or None (LRU order,
-        # oldest first).
-        self._sets: List["OrderedDict[int, Optional[int]]"] = [
-            OrderedDict() for _ in range(sets)
+        # Per set: dict line -> owner txid or None in LRU order, oldest
+        # first (a hit pops and re-inserts).  Plain int dicts: the
+        # cyclic collector never tracks them.
+        self._sets: List[Dict[int, Optional[int]]] = [
+            {} for _ in range(sets)
         ]
         self._speculative_lines: Dict[int, Set[int]] = {}
         self.eviction_count = 0
@@ -121,7 +121,7 @@ class LlcModel:
             self._speculative_lines.setdefault(writer, set()).add(line)
         return victim_owner
 
-    def _evict_from(self, target: "OrderedDict[int, Optional[int]]") -> Optional[int]:
+    def _evict_from(self, target: Dict[int, Optional[int]]) -> Optional[int]:
         """Evict one line, preferring non-speculative victims (LRU order)."""
         self.eviction_count += 1
         for line, owner in target.items():

@@ -35,7 +35,10 @@ the contract each entry must honor:
 
 Everything else an experiment touches (engine, cluster, protocol,
 metrics, workloads, fault injectors, recovery managers) is constructed
-fresh inside :func:`~repro.runner.run_experiment` per call.
+fresh inside :func:`~repro.runner.run_experiment` per call.  The
+simulator objects among them are released when it returns: their
+reference cycles are broken, so reference counting frees them without
+the cyclic collector, and the result holds none (``tests/test_teardown.py``).
 
 ``tests/test_isolation.py`` pins the contract: running A then B in one
 process must be bit-identical to running B in a fresh process.  Any new

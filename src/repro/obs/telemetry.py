@@ -139,6 +139,11 @@ class TelemetrySampler:
         self._last_aborted = metrics.meter.aborted
         engine.schedule(self.interval_ns, self._tick)
 
+    def detach(self) -> None:
+        """Drop the run's subsystems once it is over (snapshots stay)."""
+        self._engine = self._protocol = self._metrics = self._cluster = None
+        self._load_driver = self._recovery = self._spans = None
+
     def _tick(self) -> None:
         # Un-count our own dispatch: the engine bumped events_processed
         # for this callback, but observation must not show up in the

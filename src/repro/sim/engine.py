@@ -68,7 +68,7 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._sequence = itertools.count()
-        self._active = 0  # number of live processes (for run-until-idle)
+        self._live: set = set()  # unfinished processes (see close)
         self._cancelled = 0  # dead entries still sitting in the queues
         #: Callbacks executed so far (skipped cancellations excluded) —
         #: the numerator of the benchmark harness's events/sec.
@@ -229,6 +229,16 @@ class Engine:
             self.now = until
         return self.now
 
+    def close(self) -> None:
+        """End of run: drop the queued entries and close every unfinished
+        generator (none has a ``finally`` or a broad ``except``), so no
+        engine <-> process reference cycle outlives the run."""
+        self._now.clear()
+        self._queue.clear()
+        for process in self._live:
+            process._close()
+        self._live.clear()
+
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None if none is pending."""
         for entry in self._now:
@@ -264,7 +274,7 @@ class Process(CompletionEvent):
         #: entry is a no-op), so the wake path does no bookkeeping.
         self._sleep_entry: Optional[ScheduledEntry] = None
         self._alive = True
-        engine._active += 1
+        engine._live.add(self)
         if engine.tracer is not None:
             engine.tracer.process_start(engine.now, self.name)
         engine.post(self._resume, None, None)
@@ -287,6 +297,12 @@ class Process(CompletionEvent):
         self.engine.post(self._resume, None, Interrupt(cause))
 
     # -- internals ---------------------------------------------------
+
+    def _close(self) -> None:
+        """Engine teardown: close the generator, drop what it waits on."""
+        self._alive = False
+        self._waiting_on = self._sleep_entry = None
+        self._generator.close()
 
     def _disarm(self) -> None:
         """Cancel whatever the process is parked on, if anything."""
@@ -351,7 +367,7 @@ class Process(CompletionEvent):
             if yielded < 0:
                 # Route through _finish like any other bad yield, so the
                 # process dies with consistent bookkeeping (_alive,
-                # _active, tracer process_end) instead of unwinding the
+                # _live, tracer process_end) instead of unwinding the
                 # run loop with a half-dead process left behind.
                 self._finish(None, ValueError(
                     f"negative delay: {float(yielded)}"))
@@ -370,7 +386,7 @@ class Process(CompletionEvent):
 
     def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
         self._alive = False
-        self.engine._active -= 1
+        self.engine._live.discard(self)
         if self.engine.tracer is not None:
             if exception is None:
                 outcome = "returned"
@@ -380,12 +396,17 @@ class Process(CompletionEvent):
                 outcome = type(exception).__name__
             self.engine.tracer.process_end(self.engine.now, self.name, outcome)
         if exception is not None and not isinstance(exception, Interrupt):
-            had_waiters = bool(self._callbacks)
-            self.fail(exception)
-            # A real error should not pass silently: re-raise out of the
-            # event loop unless somebody is waiting for this process.
-            if not had_waiters:
+            if self._callbacks:
+                self.fail(exception)
+                return
+            # A real error should not pass silently: with nobody waiting
+            # it leaves through the run loop, kept neither on the process
+            # nor in this frame (its traceback holds both: a cycle).
+            self.triggered = True
+            try:
                 raise exception
+            finally:
+                exception = None
         else:
             self.exception = exception
             if not self.triggered:

@@ -93,23 +93,29 @@ class AllOf(Event):
 
     The value is the list of child values in the order the children were
     given.  An empty list of children triggers immediately — a commit
-    that involves zero remote nodes waits on nothing.
+    that involves zero remote nodes waits on nothing.  The parent holds
+    no child, so an abandoned wait is no reference cycle.
     """
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):  # noqa: F821
         super().__init__(engine)
-        self._children = list(events)
-        self._pending = len(self._children)
+        children = list(events)
+        self._pending = len(children)
+        self._values: List[Any] = [None] * self._pending
         if self._pending == 0:
             self.succeed([])
             return
-        for child in self._children:
-            child.add_callback(self._child_done)
+        for index, child in enumerate(children):
+            child.add_callback(self._make_callback(index))
 
-    def _child_done(self, _child: Event) -> None:
-        self._pending -= 1
-        if self._pending == 0 and not self.triggered:
-            self.succeed([child.value for child in self._children])
+    def _make_callback(self, index: int) -> Callable[[Event], None]:
+        def _child_done(child: Event) -> None:
+            self._values[index] = child.value
+            self._pending -= 1
+            if self._pending == 0 and not self.triggered:
+                self.succeed(self._values)
+
+        return _child_done
 
 
 class AnyOf(Event):
@@ -120,10 +126,10 @@ class AnyOf(Event):
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):  # noqa: F821
         super().__init__(engine)
-        self._children = list(events)
-        if not self._children:
+        children = list(events)
+        if not children:
             raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
+        for index, child in enumerate(children):
             child.add_callback(self._make_callback(index))
 
     def _make_callback(self, index: int) -> Callable[[Event], None]:

@@ -3,10 +3,14 @@
 ``Workload.populate`` places each table with one
 ``Cluster.allocate_records`` call.  That must give exactly the layout
 that one ``Cluster.allocate_record`` call per record, in id order,
-gives.  ``NodeMemory`` builds a record's Fig. 1 metadata only when it
-is first asked for; a record nobody touched still exists, and its
-missing metadata is what fresh metadata would be: unlocked.
+gives.  ``Cluster`` builds a record's descriptor, and ``NodeMemory``
+its Fig. 1 metadata, only when first asked for; a record nobody
+touched still exists, and its missing metadata is what fresh metadata
+would be: unlocked.  The bulk tables hold no object the cyclic
+collector tracks per record or key.
 """
+
+import gc
 
 import pytest
 
@@ -109,11 +113,23 @@ def test_bulk_populate_matches_per_record_placement(build):
     for workload in build():
         workload.populate(bulk)
     single = make_cluster()
-    for workload in build():
-        for record_id, data_bytes in per_record_sizes(workload):
-            single.allocate_record(record_id, data_bytes)
+    placed = [pair for workload in build()
+              for pair in per_record_sizes(workload)]
+    for record_id, data_bytes in placed:
+        single.allocate_record(record_id, data_bytes)
+    # Bulk placement builds no descriptor; the first record() call does,
+    # equal to the one allocate_record built eagerly, and keeps it.
+    assert bulk._descriptors == {}
+    for record_id, _data_bytes in placed:
+        assert bulk.has_record(record_id)
+        assert bulk.record(record_id) == single.record(record_id)
+        assert bulk.record(record_id) is bulk.record(record_id)
     assert layout(bulk) == layout(single)
+    assert [record_id for record_id, _d in bulk.iter_records()] == sorted(
+        record_id for record_id, _size in placed)
     assert bulk.record_count == sum(w.record_count for w in build())
+    assert bulk.record_count == len(placed)
+    assert not bulk.has_record(max(record_id for record_id, _ in placed) + 1)
 
 
 def test_allocate_records_rejects_a_duplicate_id():
@@ -121,6 +137,30 @@ def test_allocate_records_rejects_a_duplicate_id():
     cluster.allocate_record(7, 64)
     with pytest.raises(ValueError, match="record 7 already allocated"):
         cluster.allocate_records(5, 4, 64)
+
+
+def test_allocate_record_rejects_a_bulk_placed_id():
+    cluster = make_cluster()
+    cluster.allocate_records(5, 4, 64)
+    with pytest.raises(ValueError, match="record 8 already allocated"):
+        cluster.allocate_record(8, 64)
+    with pytest.raises(ValueError, match="record 6 already allocated"):
+        cluster.allocate_records(6, 1, 64)
+    assert cluster.record_count == 4
+
+
+def test_bulk_set_up_tables_are_not_gc_tracked():
+    cluster = make_cluster()
+    workload = make_workload("HT-wB", scale=0.01)
+    workload.populate(cluster)
+    cluster.record(3)
+    assert not gc.is_tracked(cluster._addresses)
+    assert not gc.is_tracked(cluster._sizes)
+    for node in cluster.nodes:
+        assert not gc.is_tracked(node.memory._line_counts)
+        assert not any(gc.is_tracked(target) for target in node.llc._sets)
+    assert not gc.is_tracked(workload.index._records)
+    assert not gc.is_tracked(workload.index._depths)
 
 
 class TestLazyMetadata:

@@ -1,6 +1,11 @@
 """Tests for the LLC model and private-cache filter bits."""
 
+import gc
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.cache import LlcModel, PrivateCacheFilter
 
@@ -122,3 +127,41 @@ class TestLlcModel:
         assert llc.line_of(0) == 0
         assert llc.line_of(63) == 0
         assert llc.line_of(64) == 1
+
+    def test_sets_are_not_gc_tracked(self):
+        llc = LlcModel(sets=8, ways=2)
+        for line in range(40):
+            llc.touch(line, writer=line % 3 or None)
+        llc.clear_tags(1)
+        assert not any(gc.is_tracked(target) for target in llc._sets)
+
+
+#: One LLC step: touch (optionally as a writer), clear or drop a txid.
+_LLC_OPS = st.lists(st.one_of(
+    st.tuples(st.just("touch"), st.integers(0, 23),
+              st.one_of(st.none(), st.integers(1, 4))),
+    st.tuples(st.just("clear"), st.integers(1, 4)),
+    st.tuples(st.just("invalidate"), st.integers(1, 4))), max_size=80)
+
+
+@given(ops=_LLC_OPS)
+@settings(max_examples=150, deadline=None)
+def test_plain_dict_sets_evict_like_ordered_dicts(ops):
+    """Property: plain-dict sets give the same eviction order and the
+    same speculative victims as the ``OrderedDict`` sets they replaced."""
+    llc = LlcModel(sets=2, ways=3)
+    reference = LlcModel(sets=2, ways=3)
+    reference._sets = [OrderedDict() for _ in range(2)]
+    for op in ops:
+        if op[0] == "touch":
+            assert llc.touch(op[1], writer=op[2]) == reference.touch(
+                op[1], writer=op[2])
+        elif op[0] == "clear":
+            assert llc.clear_tags(op[1]) == reference.clear_tags(op[1])
+        else:
+            assert llc.invalidate_tags(op[1]) == reference.invalidate_tags(
+                op[1])
+        assert [list(target.items()) for target in llc._sets] == [
+            list(target.items()) for target in reference._sets]
+    assert (llc.eviction_count, llc.speculative_eviction_count) == (
+        reference.eviction_count, reference.speculative_eviction_count)

@@ -5,11 +5,16 @@ invariants; property-based tests compare every store against a plain
 dict model.
 """
 
+import gc
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvs import STORES, BPlusTreeStore, BTreeStore, HashTableStore, OrderedMapStore
+from repro.kvs.base import LookupResult
+from tests.kvs.chained_oracle import ChainedOracle
 
 
 def make_store(kind):
@@ -90,7 +95,29 @@ class TestHashTable:
         for key in range(20):
             store.insert(key, key)
         depths = [store.lookup(key).probe_depth for key in range(20)]
-        assert max(depths) > 1
+        # One bucket: each key's depth is its insertion position.
+        assert store.bucket_count == 1
+        assert depths == list(range(1, 21))
+        assert store.max_chain_length() == 20
+        # Deleting a key moves every later key of its chain up one.
+        assert store.delete(4)
+        assert [store.lookup(key).probe_depth
+                for key in range(20) if key != 4] == list(range(1, 20))
+        # A replace keeps the key's position; a re-insert goes last.
+        store.insert(0, 100)
+        store.insert(4, 4)
+        assert store.lookup(0) == LookupResult(100, probe_depth=1)
+        assert store.lookup(4).probe_depth == 20
+
+    def test_bulk_loaded_index_is_not_gc_tracked(self):
+        store = HashTableStore(expected_keys=1000)
+        store.bulk_load((key, key + 7) for key in range(1000))
+        store.insert(5000, 1)
+        store.delete(3)
+        assert not gc.is_tracked(store._records)
+        assert not gc.is_tracked(store._depths)
+        # Chain lengths are one flat array: no object per bucket.
+        assert isinstance(store._lengths, array)
 
     def test_delete(self):
         store = HashTableStore(expected_keys=16)
@@ -225,3 +252,36 @@ def test_range_scan_matches_sorted_filter(kind, keys, bounds):
         store.insert(key, key * 3)
     expected = [(key, key * 3) for key in sorted(keys) if low <= key <= high]
     assert store.range_scan(low, high) == expected
+
+
+#: One step on an HT store: insert / bulk-load a batch / delete.
+_HT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 60), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("bulk"), st.lists(st.tuples(st.integers(0, 60),
+                                                  st.integers(0, 10 ** 6)),
+                                        max_size=12)),
+    st.tuples(st.just("delete"), st.integers(0, 60))), max_size=60)
+
+
+@given(expected_keys=st.integers(1, 40), ops=_HT_OPS)
+@settings(max_examples=200, deadline=None)
+def test_hash_table_matches_chained_oracle(expected_keys, ops):
+    """Property: the int-dict chains report exactly the record ids and
+    probe depths of a list-per-bucket table, before and after deletes
+    shift later keys up their chain."""
+    store = HashTableStore(expected_keys=expected_keys)
+    oracle = ChainedOracle(expected_keys=expected_keys)
+    assert store.bucket_count == oracle.bucket_count
+    for op in ops:
+        if op[0] == "insert":
+            store.insert(op[1], op[2])
+            oracle.insert(op[1], op[2])
+        elif op[0] == "bulk":
+            store.bulk_load(iter(op[1]))
+            oracle.bulk_load(op[1])
+        else:
+            assert store.delete(op[1]) == oracle.delete(op[1])
+        assert len(store) == len(oracle)
+        assert store.max_chain_length() == oracle.max_chain_length()
+        for key in range(62):
+            assert store.lookup(key) == oracle.lookup(key)

@@ -29,6 +29,9 @@ class _HeapLane:
     def __len__(self):
         return 0
 
+    def clear(self):
+        pass
+
 
 class HeapOracle(Engine):
     """The pure-heap reference engine (see the module docstring)."""

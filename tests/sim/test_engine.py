@@ -461,7 +461,7 @@ def test_negative_sleep_dies_with_consistent_bookkeeping(engine_cls):
     with pytest.raises(ValueError, match="negative delay"):
         engine.run()
     assert not process.is_alive
-    assert engine._active == 0
+    assert not engine._live
     assert ("end", "bad", "ValueError") in tracer.events
 
 
@@ -484,7 +484,7 @@ def test_negative_sleep_error_routes_to_waiter(engine_cls):
     engine.process(parent())
     engine.run()
     assert caught == ["negative delay: -3.0"]
-    assert engine._active == 0
+    assert not engine._live
 
 
 def test_cancel_storm_compacts_now_fifo():
